@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"sort"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/jobio"
 	"repro/internal/scalereport"
 	"repro/internal/service"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -366,13 +368,37 @@ func scrapeQueueWait(client *http.Client, targets []string) (p50, p95, p99, p999
 	for i, b := range bounds {
 		cums[i] = merged[b]
 	}
-	q := func(p float64) float64 { return finiteOrZero(bucketQuantile(bounds, cums, p)) }
+	q := func(p float64) float64 { return bucketQuantile(bounds, cums, p) }
 	return q(0.5), q(0.95), q(0.99), q(0.999), nil
+}
+
+// bucketQuantile estimates the q-th quantile from scraped cumulative
+// buckets (bounds ascending, the +Inf bucket last if present) by
+// de-cumulating them for telemetry.BucketQuantile. An empty or all-zero
+// histogram estimates 0.
+func bucketQuantile(bounds []float64, cums []uint64, q float64) float64 {
+	if len(bounds) == 0 {
+		return 0
+	}
+	// The +Inf bucket becomes BucketQuantile's implicit overflow bucket.
+	counts := make([]uint64, len(bounds), len(bounds)+1)
+	var prev uint64
+	for i, c := range cums {
+		if c > prev {
+			counts[i], prev = c-prev, c
+		}
+	}
+	if n := len(bounds); math.IsInf(bounds[n-1], 1) {
+		bounds = bounds[:n-1]
+	} else {
+		counts = append(counts, 0)
+	}
+	return finiteOrZero(telemetry.BucketQuantile(bounds, counts, q))
 }
 
 // parseBuckets extracts a histogram's cumulative buckets from Prometheus
 // text format: `name{le="BOUND"} COUNT` lines, +Inf included. Bounds are
-// returned ascending with the +Inf bucket last.
+// returned ascending with the +Inf bucket last (as math.Inf(1)).
 func parseBuckets(text, name string) (bounds []float64, cums []uint64, err error) {
 	type bkt struct {
 		le  float64
@@ -401,10 +427,11 @@ func parseBuckets(text, name string) (bounds []float64, cums []uint64, err error
 		if err != nil {
 			return nil, nil, fmt.Errorf("parse %s: bad count in %q", name, line)
 		}
-		le := 0.0
-		if leStr == "+Inf" {
-			le = infBound
-		} else if le, err = strconv.ParseFloat(leStr, 64); err != nil {
+		le := math.Inf(1)
+		if leStr != "+Inf" {
+			le, err = strconv.ParseFloat(leStr, 64)
+		}
+		if err != nil {
 			return nil, nil, fmt.Errorf("parse %s: bad le in %q", name, line)
 		}
 		bkts = append(bkts, bkt{le: le, cum: cum})
@@ -418,46 +445,4 @@ func parseBuckets(text, name string) (bounds []float64, cums []uint64, err error
 		cums = append(cums, b.cum)
 	}
 	return bounds, cums, nil
-}
-
-// infBound stands in for +Inf while sorting parsed buckets.
-const infBound = 1e308
-
-// bucketQuantile mirrors telemetry.Histogram.Quantile over parsed
-// cumulative buckets (bounds ascending, +Inf last as infBound).
-func bucketQuantile(bounds []float64, cums []uint64, q float64) float64 {
-	n := len(bounds)
-	if n == 0 || cums[n-1] == 0 {
-		return 0
-	}
-	total := cums[n-1]
-	rank := q * float64(total)
-	var prev uint64
-	for i := 0; i < n; i++ {
-		cum := cums[i]
-		if float64(cum) < rank || cum == prev {
-			prev = cum
-			continue
-		}
-		upper := bounds[i]
-		if upper == infBound {
-			if i == 0 {
-				return 0
-			}
-			return bounds[i-1]
-		}
-		lower := 0.0
-		if i > 0 {
-			lower = bounds[i-1]
-		} else if upper <= 0 {
-			lower = upper
-		}
-		inBucket := float64(cum - prev)
-		frac := (rank - float64(prev)) / inBucket
-		if frac < 0 {
-			frac = 0
-		}
-		return lower + (upper-lower)*frac
-	}
-	return bounds[n-1]
 }

@@ -2,6 +2,9 @@ package main
 
 import (
 	"context"
+	"io"
+	"math"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -172,7 +175,7 @@ other_metric_bucket{le="1"} 5
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(bounds) != 3 || bounds[0] != 0.01 || bounds[1] != 0.1 || bounds[2] != infBound {
+	if len(bounds) != 3 || bounds[0] != 0.01 || bounds[1] != 0.1 || !math.IsInf(bounds[2], 1) {
 		t.Errorf("bounds = %v", bounds)
 	}
 	if cums[0] != 3 || cums[1] != 9 || cums[2] != 10 {
@@ -190,7 +193,7 @@ other_metric_bucket{le="1"} 5
 }
 
 func TestBucketQuantile(t *testing.T) {
-	bounds := []float64{0.01, 0.1, infBound}
+	bounds := []float64{0.01, 0.1, math.Inf(1)}
 	cums := []uint64{3, 9, 10}
 	// Median: rank 5 lands in (0.01, 0.1], frac (5-3)/6.
 	if got, want := bucketQuantile(bounds, cums, 0.5), 0.01+(0.1-0.01)*(2.0/6.0); got != want {
@@ -205,5 +208,43 @@ func TestBucketQuantile(t *testing.T) {
 	}
 	if got := bucketQuantile(bounds, []uint64{0, 0, 0}, 0.5); got != 0 {
 		t.Errorf("all-zero = %v", got)
+	}
+}
+
+// TestScrapeQueueWait merges the queue-wait buckets scraped from two
+// targets and checks the fleet percentiles end to end: de-cumulated
+// buckets, the interpolated median, the +Inf clamp, and zero percentiles
+// for a fleet without the series.
+func TestScrapeQueueWait(t *testing.T) {
+	scrape := `grid_service_queue_wait_seconds_bucket{le="0.01"} 3
+grid_service_queue_wait_seconds_bucket{le="0.1"} 9
+grid_service_queue_wait_seconds_bucket{le="+Inf"} 10
+`
+	serve := func(body string) string {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			io.WriteString(w, body)
+		}))
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	withSeries, without := serve(scrape), serve("other_metric 1\n")
+	client := &http.Client{Timeout: 2 * time.Second}
+
+	// Two identical targets double every bucket, which leaves the
+	// estimate unchanged: median rank 10 of 20 lands in (0.01, 0.1] at
+	// (10-6)/12, and p99 lands in the +Inf bucket.
+	p50, _, p99, _, err := scrapeQueueWait(client, []string{withSeries, without, withSeries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 0.01 + (0.1-0.01)*(4.0/12.0); math.Abs(p50-want) > 1e-12 {
+		t.Errorf("median = %v, want %v", p50, want)
+	}
+	if p99 != 0.1 {
+		t.Errorf("p99 = %v, want 0.1 (clamped to the highest finite bound)", p99)
+	}
+	p50, _, p99, _, err = scrapeQueueWait(client, []string{without})
+	if err != nil || p50 != 0 || p99 != 0 {
+		t.Errorf("fleet without the series = (%v, %v, %v), want zeros", p50, p99, err)
 	}
 }

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -220,6 +223,158 @@ func TestHTTPFederationEndToEnd(t *testing.T) {
 		if st, ok := met.Shards[name]; !ok || !st.Alive {
 			t.Fatalf("shard %s not alive in router metrics: %+v", name, met.Shards)
 		}
+	}
+}
+
+// TestRouterMetricsMatchExposition drives the router through retries, a
+// confirmed revocation and reallocation, completions, a shard-side
+// rejection, refused offers, a shard death and a job drained at shutdown,
+// then checks that every uint64 field of the JSON snapshot equals its
+// /metrics series — the snapshot is a view over the registry, so the two
+// can never drift. The router is built without a registry: it must make a
+// private one, so /metrics works regardless.
+func TestRouterMetricsMatchExposition(t *testing.T) {
+	var rt *Router
+	shards := newFedShards(t, 2, &rt)
+	for _, s := range shards {
+		s.svc.Start()
+	}
+	defer func() {
+		for _, s := range shards {
+			_ = s.svc.Drain(context.Background())
+		}
+	}()
+	flaky := &flakyShard{LocalShard: shards[0].local}
+	flaky.setBroken(true)
+	r, err := New(Config{
+		Shards:            []ShardClient{flaky, shards[1].local},
+		Seed:              11,
+		RetryBudget:       2,
+		RetryBase:         5 * time.Millisecond,
+		HeartbeatInterval: time.Hour, // deaths are driven by hand below
+		DeadAfter:         1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt = r
+	r.Start()
+
+	ring, _ := NewRing([]string{"s0", "s1"}, 0)
+	ownedBy := func(shard, prefix string) string {
+		for i := 0; ; i++ {
+			if id := fmt.Sprintf("%s-%d", prefix, i); ring.Owner(id) == shard {
+				return id
+			}
+		}
+	}
+	// Owned by the broken s0: retried, revoked, reallocated to s1.
+	moved := ownedBy("s0", "moved")
+	for _, o := range []struct {
+		id       string
+		deadline int64
+		strategy string
+		code     string
+	}{
+		{moved, 60, "S1", ""},
+		{ownedBy("s1", "ok"), 60, "S1", ""},
+		{ownedBy("s1", "doomed"), 1, "S1", ""}, // rejected by the shard
+		{moved, 60, "S1", service.CodeDuplicate},
+		{"bad-strategy", 60, "S9", service.CodeInvalid},
+	} {
+		_, err := r.Submit(testJob(o.id, o.deadline), o.strategy, 0)
+		var se *service.SubmitError
+		code := ""
+		if errors.As(err, &se) {
+			code = se.Code
+		}
+		if code != o.code {
+			t.Fatalf("submit %s: err = %v, want code %q", o.id, err, o.code)
+		}
+	}
+	waitQuiesced(t, r, 10*time.Second)
+	r.noteMiss("s0")
+
+	// A job accepted after the dispatchers stopped never leaves the router
+	// and is drained at shutdown.
+	r.Close()
+	if _, err := r.Submit(testJob("late", 60), "S1", 0); err != nil {
+		t.Fatalf("submit late: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_ = r.Drain(ctx)
+	if view, _ := r.Job("late"); view.State != service.StateDrained {
+		t.Fatalf("late = %+v, want drained", view)
+	}
+
+	rec := httptest.NewRecorder()
+	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /metrics = %d", rec.Code)
+	}
+	series := map[string]float64{}
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		fields := strings.Fields(line)
+		if len(fields) != 2 || strings.HasPrefix(line, "#") || strings.Contains(fields[0], "{") {
+			continue
+		}
+		v, err := strconv.ParseFloat(fields[1], 64)
+		if err != nil {
+			t.Fatalf("bad sample %q: %v", line, err)
+		}
+		series[fields[0]] = v
+	}
+
+	met := r.Metrics()
+	tests := []struct {
+		field, series string
+	}{
+		{"Submitted", "grid_fed_submitted_total"},
+		{"Accepted", "grid_fed_accepted_total"},
+		{"Completed", "grid_fed_completed_total"},
+		{"Rejected", "grid_fed_rejected_total"},
+		{"Drained", "grid_fed_drained_total"},
+		{"Handoffs", "grid_fed_handoffs_total"},
+		{"Retries", "grid_fed_handoff_retries_total"},
+		{"Reallocated", "grid_fed_reallocations_total"},
+		{"Revocations", "grid_fed_revocations_total"},
+		{"ShardDeaths", "grid_fed_shard_deaths_total"},
+		{"JournalError", "grid_fed_journal_errors_total"},
+		{"Pending", "grid_fed_jobs_pending"},
+	}
+	covered := map[string]bool{}
+	v := reflect.ValueOf(met)
+	for _, tc := range tests {
+		covered[tc.field] = true
+		f := v.FieldByName(tc.field)
+		var want float64
+		switch f.Kind() {
+		case reflect.Uint64:
+			want = float64(f.Uint())
+		case reflect.Int:
+			want = float64(f.Int())
+		default:
+			t.Fatalf("Metrics.%s has kind %s", tc.field, f.Kind())
+		}
+		got, ok := series[tc.series]
+		if !ok {
+			t.Errorf("Metrics.%s: exposition has no %s series", tc.field, tc.series)
+			continue
+		}
+		if got != want {
+			t.Errorf("Metrics.%s = %v but %s = %v", tc.field, want, tc.series, got)
+		}
+	}
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Type().Field(i); f.Type.Kind() == reflect.Uint64 && !covered[f.Name] {
+			t.Errorf("Metrics.%s has no series in the agreement table", f.Name)
+		}
+	}
+	if met.Submitted != 6 || met.Accepted != 4 || met.Completed != 2 || met.Rejected != 1 ||
+		met.Drained != 1 || met.Retries != 1 || met.Reallocated != 1 || met.Revocations != 1 ||
+		met.ShardDeaths != 1 || met.Handoffs != 5 {
+		t.Errorf("scenario counts = %+v", met)
 	}
 }
 

@@ -13,10 +13,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/faults"
 	"repro/internal/rng"
 	"repro/internal/service"
-	"repro/internal/simtime"
 	"repro/internal/telemetry"
 )
 
@@ -138,13 +136,11 @@ type Member struct {
 func NewMember(cfg MemberConfig) *Member {
 	m := &Member{cfg: cfg, r: rng.New(cfg.Seed).Split(fnv1a(cfg.Shard))}
 	m.cond = sync.NewCond(&m.mu)
-	if reg := cfg.Telemetry; reg != nil {
-		l := telemetry.L("shard", cfg.Shard)
-		m.handoffs = reg.Counter("grid_fed_member_handoffs_total", "handoff frames processed by the shard", l)
-		m.revokes = reg.Counter("grid_fed_member_revokes_total", "revoke requests processed by the shard", l)
-		m.notifies = reg.Counter("grid_fed_member_terminal_notices_total", "terminal notices delivered to the router", l)
-		m.joins = reg.Counter("grid_fed_member_joins_total", "join handshakes completed", l)
-	}
+	reg, l := cfg.Telemetry, telemetry.L("shard", cfg.Shard)
+	m.handoffs = reg.Counter("grid_fed_member_handoffs_total", "handoff frames processed by the shard", l)
+	m.revokes = reg.Counter("grid_fed_member_revokes_total", "revoke requests processed by the shard", l)
+	m.notifies = reg.Counter("grid_fed_member_terminal_notices_total", "terminal notices delivered to the router", l)
+	m.joins = reg.Counter("grid_fed_member_joins_total", "join handshakes completed", l)
 	return m
 }
 
@@ -175,7 +171,9 @@ func (m *Member) Terminal(rec service.Record) {
 	m.notices = append(m.notices, TerminalNotice{
 		Shard: m.cfg.Shard, Job: rec.ID, State: rec.State, Reason: rec.Reason,
 	})
-	m.cond.Signal()
+	// Broadcast, not Signal: sleep's Close watchers wait on the same cond,
+	// and a Signal that woke one of them would leave the notifier asleep.
+	m.cond.Broadcast()
 	m.mu.Unlock()
 }
 
@@ -199,21 +197,6 @@ func (m *Member) Close() {
 	m.cond.Broadcast()
 	m.mu.Unlock()
 	m.wg.Wait()
-}
-
-// backoff computes the jittered exponential wait for the given 1-based
-// attempt.
-func (m *Member) backoff(attempt int) time.Duration {
-	base := m.cfg.retryBase() / time.Millisecond
-	cap := m.cfg.retryCap() / time.Millisecond
-	if base < 1 {
-		base = 1
-	}
-	ms := faults.ExpBackoff(simtime.Time(base), attempt, simtime.Time(cap))
-	m.mu.Lock()
-	ms = faults.Jitter(ms, m.cfg.jitterFrac(), m.r)
-	m.mu.Unlock()
-	return time.Duration(ms) * time.Millisecond
 }
 
 // sleep waits d or until Close.
@@ -255,20 +238,18 @@ func (m *Member) joinLoop() {
 		}
 		if err := m.joinOnce(); err != nil {
 			m.logf("federation: join attempt %d: %v", attempt, err)
-			if !m.sleep(m.backoff(attempt)) {
+			if !m.sleep(backoff(m.cfg, attempt, &m.mu, m.r)) {
 				return
 			}
 			continue
 		}
-		if m.joins != nil {
-			m.joins.Inc()
-		}
+		m.joins.Inc()
 		if len(m.svc.Held()) == 0 {
 			return
 		}
 		// Decisions missing for some held jobs (or the router asked us to
 		// wait): ask again.
-		if !m.sleep(m.backoff(attempt)) {
+		if !m.sleep(backoff(m.cfg, attempt, &m.mu, m.r)) {
 			return
 		}
 	}
@@ -355,14 +336,12 @@ func (m *Member) notifyLoop() {
 			} else {
 				m.logf("federation: terminal notice %s attempt %d: %v", n.Job, attempt, err)
 			}
-			if !m.sleep(m.backoff(attempt)) {
+			if !m.sleep(backoff(m.cfg, attempt, &m.mu, m.r)) {
 				return
 			}
 			attempt++
 		}
-		if m.notifies != nil {
-			m.notifies.Inc()
-		}
+		m.notifies.Inc()
 		m.mu.Lock()
 		m.notices = m.notices[1:]
 		m.mu.Unlock()
@@ -421,9 +400,7 @@ func (m *Member) refreshLease() {
 
 func (m *Member) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	m.refreshLease()
-	if m.handoffs != nil {
-		m.handoffs.Inc()
-	}
+	m.handoffs.Inc()
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxFrameBytes+frameHeader+frameTrailer+1))
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, HandoffResult{Code: "bad_frame", Reason: err.Error()})
@@ -443,9 +420,7 @@ func (m *Member) handleHandoff(w http.ResponseWriter, r *http.Request) {
 
 func (m *Member) handleRevoke(w http.ResponseWriter, r *http.Request) {
 	m.refreshLease()
-	if m.revokes != nil {
-		m.revokes.Inc()
-	}
+	m.revokes.Inc()
 	var req RevokeRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Key == "" {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad revoke request"})

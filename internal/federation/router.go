@@ -48,7 +48,11 @@ type Config struct {
 	Replicas int
 	// Journal, when non-nil, makes router placement state durable.
 	Journal *journal.Journal
-	// Telemetry exports grid_fed_* metrics. nil disables.
+	// Telemetry exports grid_fed_* metrics. nil makes New create a
+	// private registry, so GET /metrics always works. The registry is the
+	// router's only counter store: Metrics reads it, so two routers given
+	// the same registry both report the cumulative counts, exactly as
+	// /metrics does.
 	Telemetry *telemetry.Registry
 	// Breaker configures the per-shard circuit breakers. Breaker time is
 	// wall milliseconds since router start, so OpenBase=512 means ~0.5s.
@@ -195,7 +199,8 @@ type ShardStatus struct {
 	Breaker string `json:"breaker"`
 }
 
-// Metrics is the router's counter snapshot.
+// Metrics is the router's counter snapshot: the event counts are read
+// from the router's telemetry registry, the rest is live router state.
 type Metrics struct {
 	Submitted    uint64                 `json:"submitted"`
 	Accepted     uint64                 `json:"accepted"`
@@ -228,14 +233,14 @@ type Router struct {
 	brk     *breaker.Set
 	start   time.Time
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	records map[string]*jobRecord
-	pending []string
-	health  map[string]*shardHealth
-	seq     uint64
-	met     Metrics
-	closed  bool
+	mu       sync.Mutex
+	cond     *sync.Cond
+	records  map[string]*jobRecord
+	pending  []string
+	health   map[string]*shardHealth
+	seq      uint64
+	draining bool
+	closed   bool
 
 	rngMu sync.Mutex
 	r     *rng.Source
@@ -246,8 +251,12 @@ type Router struct {
 	th routerTelemetry
 }
 
+// routerTelemetry caches the router's registry handles. Every counter is
+// bumped under Router.mu, so Metrics, which reads them under the same
+// lock, is a consistent cut.
 type routerTelemetry struct {
 	submitted, accepted, completed, rejected *telemetry.Counter
+	drained                                  *telemetry.Counter
 	handoffs, handoffFailures, retries       *telemetry.Counter
 	reallocated, revocations, deaths         *telemetry.Counter
 	journalErrors                            *telemetry.Counter
@@ -276,6 +285,9 @@ func New(cfg Config) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
+	if cfg.Telemetry == nil {
+		cfg.Telemetry = telemetry.NewRegistry()
+	}
 	bcfg := cfg.Breaker
 	if bcfg.Seed == 0 {
 		bcfg.Seed = cfg.Seed
@@ -297,31 +309,33 @@ func New(cfg Config) (*Router, error) {
 		// heartbeat round corrects optimism within one interval.
 		r.health[n] = &shardHealth{alive: true}
 	}
-	if reg := cfg.Telemetry; reg != nil {
-		r.th.submitted = reg.Counter("grid_fed_submitted_total", "jobs submitted to the router")
-		r.th.accepted = reg.Counter("grid_fed_accepted_total", "jobs accepted by the router")
-		r.th.completed = reg.Counter("grid_fed_completed_total", "federated jobs completed")
-		r.th.rejected = reg.Counter("grid_fed_rejected_total", "federated jobs rejected")
-		r.th.handoffs = reg.Counter("grid_fed_handoffs_total", "handoff attempts sent to shards")
-		r.th.handoffFailures = reg.Counter("grid_fed_handoff_failures_total", "handoff attempts that failed in transport")
-		r.th.retries = reg.Counter("grid_fed_handoff_retries_total", "handoff retries after the first attempt")
-		r.th.reallocated = reg.Counter("grid_fed_reallocations_total", "jobs moved to another shard after confirmed revocation")
-		r.th.revocations = reg.Counter("grid_fed_revocations_total", "confirmed revocations (incl. tombstones)")
-		r.th.deaths = reg.Counter("grid_fed_shard_deaths_total", "shards declared dead by the heartbeat detector")
-		r.th.journalErrors = reg.Counter("grid_fed_journal_errors_total", "router journal append failures")
-		r.th.pending = reg.Gauge("grid_fed_jobs_pending", "router jobs awaiting dispatch")
-		r.th.handoffLatency = reg.Histogram("grid_fed_handoff_latency_seconds",
+	reg := cfg.Telemetry
+	r.th = routerTelemetry{
+		submitted:       reg.Counter("grid_fed_submitted_total", "jobs submitted to the router"),
+		accepted:        reg.Counter("grid_fed_accepted_total", "jobs accepted by the router"),
+		completed:       reg.Counter("grid_fed_completed_total", "federated jobs completed"),
+		rejected:        reg.Counter("grid_fed_rejected_total", "federated jobs rejected"),
+		drained:         reg.Counter("grid_fed_drained_total", "router jobs drained at shutdown before dispatch"),
+		handoffs:        reg.Counter("grid_fed_handoffs_total", "handoff attempts sent to shards"),
+		handoffFailures: reg.Counter("grid_fed_handoff_failures_total", "handoff attempts that failed in transport"),
+		retries:         reg.Counter("grid_fed_handoff_retries_total", "handoff retries after the first attempt"),
+		reallocated:     reg.Counter("grid_fed_reallocations_total", "jobs moved to another shard after confirmed revocation"),
+		revocations:     reg.Counter("grid_fed_revocations_total", "confirmed revocations (incl. tombstones)"),
+		deaths:          reg.Counter("grid_fed_shard_deaths_total", "shards declared dead by the heartbeat detector"),
+		journalErrors:   reg.Counter("grid_fed_journal_errors_total", "router journal append failures"),
+		pending:         reg.Gauge("grid_fed_jobs_pending", "router jobs awaiting dispatch"),
+		handoffLatency: reg.Histogram("grid_fed_handoff_latency_seconds",
 			"latency of one successful handoff RPC",
-			[]float64{0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5})
-		r.th.jobLatency = reg.Histogram("grid_fed_job_latency_seconds",
+			[]float64{0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5}),
+		jobLatency: reg.Histogram("grid_fed_job_latency_seconds",
 			"submit-to-terminal latency of federated jobs",
-			[]float64{0.01, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60})
-		r.th.alive = make(map[string]*telemetry.Gauge, len(names))
-		for _, n := range names {
-			g := reg.Gauge("grid_fed_shard_alive", "1 when the shard passes heartbeats", telemetry.L("shard", n))
-			g.Set(1)
-			r.th.alive[n] = g
-		}
+			[]float64{0.01, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60}),
+		alive: make(map[string]*telemetry.Gauge, len(names)),
+	}
+	for _, n := range names {
+		g := reg.Gauge("grid_fed_shard_alive", "1 when the shard passes heartbeats", telemetry.L("shard", n))
+		g.Set(1)
+		r.th.alive[n] = g
 	}
 	return r, nil
 }
@@ -337,17 +351,24 @@ func (r *Router) now() simtime.Time {
 	return simtime.Time(time.Since(r.start) / time.Millisecond)
 }
 
-// backoff computes the jittered exponential wait for a 1-based attempt.
-func (r *Router) backoff(attempt int) time.Duration {
-	base := r.cfg.retryBase() / time.Millisecond
+// retryPolicy is the backoff configuration Config and MemberConfig share.
+type retryPolicy interface {
+	retryBase() time.Duration
+	retryCap() time.Duration
+	jitterFrac() float64
+}
+
+// backoff computes the jittered exponential wait for a 1-based attempt
+// under p, taking the one jitter draw from src under mu.
+func backoff(p retryPolicy, attempt int, mu *sync.Mutex, src *rng.Source) time.Duration {
+	base := p.retryBase() / time.Millisecond
 	if base < 1 {
 		base = 1
 	}
-	capMS := r.cfg.retryCap() / time.Millisecond
-	ms := faults.ExpBackoff(simtime.Time(base), attempt, simtime.Time(capMS))
-	r.rngMu.Lock()
-	ms = faults.Jitter(ms, r.cfg.jitterFrac(), r.r)
-	r.rngMu.Unlock()
+	ms := faults.ExpBackoff(simtime.Time(base), attempt, simtime.Time(p.retryCap()/time.Millisecond))
+	mu.Lock()
+	ms = faults.Jitter(ms, p.jitterFrac(), src)
+	mu.Unlock()
 	return time.Duration(ms) * time.Millisecond
 }
 
@@ -356,10 +377,7 @@ func (r *Router) journal(rec journal.Record) {
 		return
 	}
 	if _, err := r.cfg.Journal.Append(rec); err != nil {
-		r.met.JournalError++
-		if r.th.journalErrors != nil {
-			r.th.journalErrors.Inc()
-		}
+		r.th.journalErrors.Inc()
 		r.logf("federation: journal append %s/%s: %v", rec.Job, rec.State, err)
 	}
 }
@@ -386,22 +404,18 @@ func (r *Router) Start() {
 // surface directly; in async mode the job is journaled and queued, and its
 // fate is visible via Job/Jobs.
 func (r *Router) Submit(wire jobio.Job, strategyName string, priority int) (JobView, error) {
-	if r.th.submitted != nil {
-		r.th.submitted.Inc()
-	}
 	typ, err := strategy.ParseType(strategyName)
-	if err != nil {
-		r.countSubmit(false)
-		return JobView{}, &service.SubmitError{Code: service.CodeInvalid, Reason: err.Error()}
-	}
-	if _, err := wire.ToJob(); err != nil {
-		r.countSubmit(false)
-		return JobView{}, &service.SubmitError{Code: service.CodeInvalid, Reason: err.Error()}
+	if err == nil {
+		_, err = wire.ToJob()
 	}
 
 	r.mu.Lock()
-	r.met.Submitted++
-	if r.met.Draining {
+	r.th.submitted.Inc()
+	if err != nil {
+		r.mu.Unlock()
+		return JobView{}, &service.SubmitError{Code: service.CodeInvalid, Reason: err.Error()}
+	}
+	if r.draining {
 		r.mu.Unlock()
 		return JobView{}, &service.SubmitError{Code: service.CodeDraining,
 			Reason: "router is draining; not accepting work", RetryAfter: time.Second}
@@ -425,23 +439,11 @@ func (r *Router) Submit(wire jobio.Job, strategyName string, priority int) (JobV
 	// memory, so an acknowledged submission survives a router SIGKILL.
 	r.journal(journal.Record{Job: wire.Name, State: StateQueued,
 		Strategy: typ.String(), Priority: priority, Wire: &wire})
-	r.met.Accepted++
+	r.th.accepted.Inc()
 	r.pushLocked(wire.Name)
 	view := rec.view()
 	r.mu.Unlock()
-	if r.th.accepted != nil {
-		r.th.accepted.Inc()
-	}
 	return view, nil
-}
-
-func (r *Router) countSubmit(accepted bool) {
-	r.mu.Lock()
-	r.met.Submitted++
-	if accepted {
-		r.met.Accepted++
-	}
-	r.mu.Unlock()
 }
 
 // submitSync is the deterministic shards=1 path: one inline handoff, the
@@ -471,12 +473,9 @@ func (r *Router) submitSync(wire jobio.Job, strategyName string, priority int) (
 		rec.Shard = shard
 		r.journal(journal.Record{Job: wire.Name, State: StateHanded,
 			Strategy: strategyName, Priority: priority, Wire: &wire, Shard: shard})
-		r.met.Accepted++
+		r.th.accepted.Inc()
 		if routerTerminal(res.State) {
 			r.terminalLocked(rec, res.State, res.Reason, shard)
-		}
-		if r.th.accepted != nil {
-			r.th.accepted.Inc()
 		}
 		return rec.view(), nil
 	case res.Code == service.CodeInfeasible:
@@ -487,10 +486,7 @@ func (r *Router) submitSync(wire jobio.Job, strategyName string, priority int) (
 		rec.Reason = res.Reason
 		r.journal(journal.Record{Job: wire.Name, State: service.StateRejected,
 			Reason: res.Reason, Strategy: strategyName, Priority: priority, Shard: shard})
-		r.met.Rejected++
-		if r.th.rejected != nil {
-			r.th.rejected.Inc()
-		}
+		r.th.rejected.Inc()
 		return rec.view(), &service.SubmitError{Code: service.CodeInfeasible, Reason: res.Reason}
 	default: // overloaded, draining, internal, invalid — not ledgered
 		return JobView{}, &service.SubmitError{Code: res.Code, Reason: res.Reason,
@@ -510,9 +506,7 @@ func (r *Router) newRecordLocked(id, strategyName string, priority int, state st
 // pushLocked queues a job for dispatch. Caller holds r.mu.
 func (r *Router) pushLocked(id string) {
 	r.pending = append(r.pending, id)
-	if r.th.pending != nil {
-		r.th.pending.Set(float64(len(r.pending)))
-	}
+	r.th.pending.Set(float64(len(r.pending)))
 	r.cond.Signal()
 }
 
@@ -550,9 +544,7 @@ func (r *Router) dispatchLoop() {
 		}
 		id := r.pending[0]
 		r.pending = r.pending[1:]
-		if r.th.pending != nil {
-			r.th.pending.Set(float64(len(r.pending)))
-		}
+		r.th.pending.Set(float64(len(r.pending)))
 		r.mu.Unlock()
 		r.dispatch(id)
 	}
@@ -625,13 +617,10 @@ func (r *Router) dispatch(id string) {
 	budget := r.cfg.retryBudget()
 	for attempt := 1; attempt <= budget; attempt++ {
 		if attempt > 1 {
-			if r.th.retries != nil {
-				r.th.retries.Inc()
-			}
 			r.mu.Lock()
-			r.met.Retries++
+			r.th.retries.Inc()
 			r.mu.Unlock()
-			if !r.sleep(r.backoff(attempt - 1)) {
+			if !r.sleep(backoff(r.cfg, attempt-1, &r.rngMu, r.r)) {
 				return
 			}
 		}
@@ -645,24 +634,19 @@ func (r *Router) dispatch(id string) {
 		began := time.Now()
 		res, err := client.Handoff(ctx, h)
 		cancel()
-		if r.th.handoffs != nil {
-			r.th.handoffs.Inc()
-		}
 		r.mu.Lock()
-		r.met.Handoffs++
+		r.th.handoffs.Inc()
+		if err != nil {
+			r.th.handoffFailures.Inc()
+		}
 		r.mu.Unlock()
 		if err != nil {
-			if r.th.handoffFailures != nil {
-				r.th.handoffFailures.Inc()
-			}
 			r.brk.Get(shard).Failure(r.now())
 			r.logf("federation: handoff %s→%s attempt %d: %v", id, shard, attempt, err)
 			continue
 		}
 		r.brk.Get(shard).Success(r.now())
-		if r.th.handoffLatency != nil {
-			r.th.handoffLatency.Observe(time.Since(began).Seconds())
-		}
+		r.th.handoffLatency.Observe(time.Since(began).Seconds())
 		if r.resolveHandoff(rec, shard, res) {
 			return
 		}
@@ -721,10 +705,7 @@ func (r *Router) banAndRequeueLocked(rec *jobRecord, shard, why string) {
 	// handoff must outrank every tombstone this job left behind.
 	rec.epoch++
 	r.journal(journal.Record{Job: rec.ID, State: StateQueued, Reason: why, Epoch: rec.epoch})
-	r.met.Reallocated++
-	if r.th.reallocated != nil {
-		r.th.reallocated.Inc()
-	}
+	r.th.reallocated.Inc()
 	r.logf("federation: reallocating %s (%s)", rec.ID, why)
 	r.pushLocked(rec.ID)
 }
@@ -743,19 +724,13 @@ func (r *Router) terminalLocked(rec *jobRecord, state, reason, shard string) {
 	r.journal(journal.Record{Job: rec.ID, State: state, Reason: reason, Shard: rec.Shard})
 	switch state {
 	case service.StateCompleted:
-		r.met.Completed++
-		if r.th.completed != nil {
-			r.th.completed.Inc()
-		}
+		r.th.completed.Inc()
 	case service.StateRejected:
-		r.met.Rejected++
-		if r.th.rejected != nil {
-			r.th.rejected.Inc()
-		}
+		r.th.rejected.Inc()
 	case service.StateDrained:
-		r.met.Drained++
+		r.th.drained.Inc()
 	}
-	if r.th.jobLatency != nil && !rec.submitted.IsZero() {
+	if !rec.submitted.IsZero() {
 		r.th.jobLatency.Observe(time.Since(rec.submitted).Seconds())
 	}
 }
@@ -815,7 +790,7 @@ func (r *Router) revokeLoop(id, why string) {
 		if err != nil {
 			r.logf("federation: revoke %s@%s attempt %d: %v", id, shard, attempt, err)
 		}
-		if !r.sleep(r.backoff(attempt)) {
+		if !r.sleep(backoff(r.cfg, attempt, &r.rngMu, r.r)) {
 			return
 		}
 	}
@@ -837,10 +812,7 @@ func (r *Router) resolveRevoke(id, shard string, res *RevokeResult) bool {
 	rec.revokeActive = false
 	switch res.Outcome {
 	case RevokeOutcomeRevoked:
-		r.met.Revocations++
-		if r.th.revocations != nil {
-			r.th.revocations.Inc()
-		}
+		r.th.revocations.Inc()
 		r.banAndRequeueLocked(rec, shard, "revoked from "+shard)
 	case RevokeOutcomeTerminal:
 		r.terminalLocked(rec, res.State, res.Reason, shard)
@@ -889,7 +861,7 @@ func (r *Router) noteMiss(name string) {
 	dead := h.alive && h.missed >= r.cfg.deadAfter()
 	if dead {
 		h.alive = false
-		r.met.ShardDeaths++
+		r.th.deaths.Inc()
 	}
 	var sweep []string
 	if dead {
@@ -904,12 +876,7 @@ func (r *Router) noteMiss(name string) {
 	if !dead {
 		return
 	}
-	if g := r.th.alive[name]; g != nil {
-		g.Set(0)
-	}
-	if r.th.deaths != nil {
-		r.th.deaths.Inc()
-	}
+	r.th.alive[name].Set(0)
 	r.logf("federation: shard %s declared dead after %d missed heartbeats; revoking %d bound jobs",
 		name, r.cfg.deadAfter(), len(sweep))
 	for _, id := range sweep {
@@ -925,9 +892,7 @@ func (r *Router) noteAlive(name string) {
 	h.alive = true
 	r.mu.Unlock()
 	if revived {
-		if g := r.th.alive[name]; g != nil {
-			g.Set(1)
-		}
+		r.th.alive[name].Set(1)
 		r.logf("federation: shard %s is back", name)
 		// Queued jobs whose only eligible shard just returned are sitting
 		// on requeue timers; nothing to do — the timer re-pushes them.
@@ -1017,10 +982,7 @@ func (r *Router) applyTerminalLocked(n *TerminalNotice) {
 		// The shard shut down without running it: ownership released, so
 		// reallocate — unless the binding already moved.
 		if rec.Shard == n.Shard && (rec.State == StateHanded || rec.State == StateRevoking) {
-			r.met.Revocations++
-			if r.th.revocations != nil {
-				r.th.revocations.Inc()
-			}
+			r.th.revocations.Inc()
 			r.banAndRequeueLocked(rec, n.Shard, "drained at "+n.Shard)
 		}
 		return
@@ -1126,7 +1088,7 @@ func (r *Router) reconcile(id string) {
 			return // still owned and in progress; terminal notice will come
 		}
 		r.logf("federation: reconcile %s@%s attempt %d: %v", id, shard, attempt, err)
-		if !r.sleep(r.backoff(attempt)) {
+		if !r.sleep(backoff(r.cfg, attempt, &r.rngMu, r.r)) {
 			return
 		}
 	}
@@ -1155,12 +1117,27 @@ func (r *Router) Jobs() []JobView {
 	return out
 }
 
-// Metrics snapshots the router counters and per-shard health.
+// Metrics snapshots the router counters and per-shard health. The counts
+// are read from the registry under r.mu, which every bump also holds, so
+// they form one consistent cut.
 func (r *Router) Metrics() Metrics {
 	r.mu.Lock()
-	m := r.met
-	m.Pending = len(r.pending)
-	m.Handed, m.Revoking = 0, 0
+	th := &r.th
+	m := Metrics{
+		Submitted:    th.submitted.Value(),
+		Accepted:     th.accepted.Value(),
+		Completed:    th.completed.Value(),
+		Rejected:     th.rejected.Value(),
+		Drained:      th.drained.Value(),
+		Handoffs:     th.handoffs.Value(),
+		Retries:      th.retries.Value(),
+		Reallocated:  th.reallocated.Value(),
+		Revocations:  th.revocations.Value(),
+		ShardDeaths:  th.deaths.Value(),
+		Pending:      len(r.pending),
+		Draining:     r.draining,
+		JournalError: th.journalErrors.Value(),
+	}
 	for _, rec := range r.records {
 		switch rec.State {
 		case StateHanded:
@@ -1199,7 +1176,7 @@ func (r *Router) Quiesced() bool {
 // marks what never dispatched as drained, and stops the loops.
 func (r *Router) Drain(ctx context.Context) error {
 	r.mu.Lock()
-	r.met.Draining = true
+	r.draining = true
 	r.mu.Unlock()
 
 	tick := time.NewTicker(10 * time.Millisecond)

@@ -96,12 +96,6 @@ func (pm *placerMetrics) register(reg *telemetry.Registry) {
 		"jobs that exhausted the optimistic rounds and placed sequentially")
 }
 
-func inc(c *telemetry.Counter) {
-	if c != nil {
-		c.Inc()
-	}
-}
-
 // placers returns the effective placer count (≥ 1).
 func (vo *VO) placers() int {
 	if vo.cfg.Placers < 1 {
@@ -215,7 +209,7 @@ func (vo *VO) placeConcurrent(work []*placerJob) {
 		if round >= maxRounds || len(work) == 1 {
 			for _, w := range work {
 				if round > 0 {
-					inc(vo.pm.fallbacks)
+					vo.pm.fallbacks.Inc()
 				}
 				w.aj.manager.adopt(w.aj, w.initial)
 			}
@@ -306,10 +300,10 @@ func (vo *VO) placeRound(work []*placerJob) []*placerJob {
 				Claims: d.Claims(st.Scheduled, aj.result.Job.Name),
 			}
 			if conflicts := prop.Commit(view); len(conflicts) != 0 {
-				inc(vo.pm.conflicts)
+				vo.pm.conflicts.Inc()
 				continue
 			}
-			inc(vo.pm.commits)
+			vo.pm.commits.Inc()
 			aj.manager.activateReserved(aj, d)
 			committed = true
 			break
@@ -317,7 +311,7 @@ func (vo *VO) placeRound(work []*placerJob) []*placerJob {
 		if committed {
 			continue
 		}
-		inc(vo.pm.retries)
+		vo.pm.retries.Inc()
 		carry = append(carry, w)
 	}
 	return carry

@@ -1,30 +1,56 @@
 package service
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-// TestPrometheusEndpoint scrapes GET /metrics after a short job lifecycle
-// and checks the exposition: correct content type, the service counters
-// present with the values the legacy JSON snapshot agrees with, and the
-// scheduler-layer families showing up through the shared registry.
+// TestPrometheusEndpoint scrapes GET /metrics after a lifecycle that
+// drives every counter — accept, complete, reject, shed, infeasible,
+// overloaded, revoke, resurrect and drain — and checks the exposition:
+// correct content type, every uint64 field of the JSON snapshot equal to
+// its series (the snapshot is a view over the registry, so the two can
+// never drift), and the scheduler-layer families showing up through the
+// shared registry.
 func TestPrometheusEndpoint(t *testing.T) {
-	s := newServer(t, Config{QueueCap: 4})
+	s := newServer(t, Config{QueueCap: 2})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	if _, err := s.Submit(wireJob("m1", 60), "S1", 0); err != nil {
-		t.Fatalf("submit: %v", err)
+	offer := func(name string, deadline int64, priority int, wantCode string) {
+		t.Helper()
+		if _, err := s.Submit(wireJob(name, deadline), "S1", priority); submitCode(err) != wantCode {
+			t.Fatalf("submit %s: err = %v, want code %q", name, err, wantCode)
+		}
 	}
-	if _, err := s.Submit(wireJob("m2", 60), "S1", 0); err != nil {
-		t.Fatalf("submit: %v", err)
+	offer("m1", 60, 0, "")
+	offer("m2", 60, 0, "")
+	offer("m3", 60, 0, CodeOverloaded) // queue full, nobody yields
+	offer("m4", 60, 1, "")             // sheds m2
+	offer("tight", 4, 0, CodeInfeasible)
+	offer("tight", 4, 0, CodeDuplicate)
+	s.Process(-1)
+	s.Quiesce()
+	offer("m5", 60, 0, "")
+	if _, err := s.RevokeEpoch("m5", "moved", 1); err != nil {
+		t.Fatalf("revoke m5: %v", err)
 	}
-	s.Process(2)
+	if _, err := s.Revoke("ghost", "tombstone"); err != nil {
+		t.Fatalf("revoke ghost: %v", err)
+	}
+	if _, err := s.Resurrect(wireJob("m5", 60), "S1", 0, 2); err != nil {
+		t.Fatalf("resurrect m5: %v", err)
+	}
+	offer("m6", 60, 0, "")
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
 
 	resp, err := ts.Client().Get(ts.URL + "/metrics")
 	if err != nil {
@@ -42,18 +68,64 @@ func TestPrometheusEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := string(body)
+	series := scrapeSeries(t, text)
 
 	met := s.Metrics()
-	for line, want := range map[string]uint64{
-		"grid_service_submitted_total": met.Submitted,
-		"grid_service_accepted_total":  met.Accepted,
-		"grid_service_completed_total": met.Completed,
-	} {
-		wantLine := line + " " + strconv.FormatUint(want, 10) + "\n"
-		if !strings.Contains(text, wantLine) {
-			t.Errorf("exposition missing %q (legacy snapshot says %d)\n%s", wantLine, want, text)
+	tests := []struct {
+		field, series string
+	}{
+		{"Submitted", "grid_service_submitted_total"},
+		{"Accepted", "grid_service_accepted_total"},
+		{"Completed", "grid_service_completed_total"},
+		{"Rejected", "grid_service_rejected_total"},
+		{"Shed", "grid_service_shed_total"},
+		{"Infeasible", "grid_service_infeasible_total"},
+		{"Overloaded", "grid_service_overloaded_total"},
+		{"Drained", "grid_service_drained_total"},
+		{"Revoked", "grid_service_revoked_total"},
+		{"Resurrected", "grid_service_resurrected_total"},
+		{"EventsFired", "grid_service_engine_events_fired"},
+		{"JournalErrors", "grid_service_journal_errors_total"},
+		{"QueueDepth", "grid_service_queue_depth"},
+		{"QueueHighWater", "grid_service_queue_high_water"},
+	}
+	covered := map[string]bool{}
+	v := reflect.ValueOf(met)
+	for _, tc := range tests {
+		covered[tc.field] = true
+		f := v.FieldByName(tc.field)
+		var want float64
+		switch f.Kind() {
+		case reflect.Uint64:
+			want = float64(f.Uint())
+		case reflect.Int:
+			want = float64(f.Int())
+		default:
+			t.Fatalf("Metrics.%s has kind %s", tc.field, f.Kind())
+		}
+		got, ok := series[tc.series]
+		if !ok {
+			t.Errorf("Metrics.%s: exposition has no %s series", tc.field, tc.series)
+			continue
+		}
+		if got != want {
+			t.Errorf("Metrics.%s = %v but %s = %v", tc.field, want, tc.series, got)
+		}
+		// Every event the scenario drives must have moved its counter.
+		if want == 0 && tc.field != "JournalErrors" && tc.field != "QueueDepth" {
+			t.Errorf("Metrics.%s = 0: the scenario never exercised it", tc.field)
 		}
 	}
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Type().Field(i); f.Type.Kind() == reflect.Uint64 && !covered[f.Name] {
+			t.Errorf("Metrics.%s has no series in the agreement table", f.Name)
+		}
+	}
+	if met.Submitted != 8 || met.Accepted != 5 || met.Completed != 2 || met.Rejected != 2 ||
+		met.Drained != 2 || met.Revoked != 2 || met.Resurrected != 1 {
+		t.Errorf("scenario counts = %+v", met)
+	}
+
 	// The scheduler layer reports into the same registry the server owns.
 	for _, family := range []string{
 		"grid_metasched_events_total",
@@ -64,6 +136,25 @@ func TestPrometheusEndpoint(t *testing.T) {
 			t.Errorf("exposition missing scheduler family %q\n%s", family, text)
 		}
 	}
+}
+
+// scrapeSeries parses the unlabelled samples of a Prometheus exposition
+// into name → value.
+func scrapeSeries(t *testing.T, text string) map[string]float64 {
+	t.Helper()
+	out := map[string]float64{}
+	for _, line := range strings.Split(text, "\n") {
+		fields := strings.Fields(line)
+		if len(fields) != 2 || strings.HasPrefix(line, "#") || strings.Contains(fields[0], "{") {
+			continue
+		}
+		v, err := strconv.ParseFloat(fields[1], 64)
+		if err != nil {
+			t.Fatalf("bad sample %q: %v", line, err)
+		}
+		out[fields[0]] = v
+	}
+	return out
 }
 
 // BenchmarkMetricsScrape backs the rebuild-per-scrape fix: the Prometheus

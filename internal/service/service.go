@@ -103,7 +103,10 @@ type Config struct {
 	// Telemetry is the metrics registry backing GET /metrics. nil makes
 	// New create a private one, so the endpoint always works. The same
 	// registry is forwarded to the VO hierarchy (Sched.Telemetry) and the
-	// circuit breakers unless those configs already carry their own.
+	// circuit breakers unless those configs already carry their own. The
+	// registry is the server's only counter store: Metrics reads it, so two
+	// servers given the same registry both report the cumulative counts,
+	// exactly as /metrics does.
 	Telemetry *telemetry.Registry
 	// Journal, when non-nil, makes the job lifecycle crash-safe: every
 	// transition (queued, scheduled, completed, rejected, drained) is
@@ -206,7 +209,8 @@ type Record struct {
 	Seq   uint64 `json:"seq"`
 }
 
-// Metrics is a point-in-time counters snapshot.
+// Metrics is a point-in-time counters snapshot: the event counts are read
+// from the server's telemetry registry, the rest is live server state.
 type Metrics struct {
 	Submitted      uint64            `json:"submitted"`
 	Accepted       uint64            `json:"accepted"`
@@ -292,15 +296,18 @@ type Server struct {
 	records map[string]*Record
 	order   []string // record IDs in submission order
 	seq     uint64
-	met     Metrics
 	// engineNow/engineFired are the engine clock as of the last completed
 	// processing step, published under mu because the live engine is owned
 	// by the loop goroutine and must not be read from handlers.
 	engineNow   simtime.Time
 	engineFired uint64
 	draining    bool
-	buildCtxs   map[string]context.CancelFunc // per scheduled job
-	recovery    *RecoveryStats                // set by Restore; nil before
+	// breakerStates/breakerTrips are the breaker view as of the last
+	// BreakerStates call, published under mu for the same reason.
+	breakerStates map[string]string
+	breakerTrips  int
+	buildCtxs     map[string]context.CancelFunc // per scheduled job
+	recovery      *RecoveryStats                // set by Restore; nil before
 
 	// drainDone is closed (and drainErr set) when the first Drain call
 	// finishes; later callers wait on it instead of racing the first.
@@ -312,11 +319,12 @@ type Server struct {
 
 // telemetryHandles caches the service's registry handles so every counter
 // bump is one atomic op — the registry map is never consulted on the
-// request or engine path.
+// request or engine path. Every counter is bumped under Server.mu, so
+// Metrics, which reads them under the same lock, is a consistent cut.
 type telemetryHandles struct {
 	submitted, accepted, completed, rejected *telemetry.Counter
 	shed, infeasible, overloaded, drained    *telemetry.Counter
-	revoked                                  *telemetry.Counter
+	revoked, resurrected                     *telemetry.Counter
 	queueDepth, queueHighWater               *telemetry.Gauge
 	engineNow, eventsFired                   *telemetry.Gauge
 	queueWait                                *telemetry.Histogram
@@ -339,6 +347,7 @@ func newTelemetryHandles(reg *telemetry.Registry) telemetryHandles {
 		overloaded:     c("grid_service_overloaded_total", "submissions refused with backpressure"),
 		drained:        c("grid_service_drained_total", "queued jobs snapshotted at shutdown"),
 		revoked:        c("grid_service_revoked_total", "jobs revoked by the federation router (incl. tombstones)"),
+		resurrected:    c("grid_service_resurrected_total", "revoked or drained tombstones re-admitted at a newer epoch"),
 		queueDepth:     g("grid_service_queue_depth", "current admission-queue length"),
 		queueHighWater: g("grid_service_queue_high_water", "maximum admission-queue length observed"),
 		engineNow:      g("grid_service_engine_now", "model time as of the last completed step"),
@@ -462,7 +471,6 @@ func (s *Server) onEvent(e metasched.Event) {
 	case metasched.EventComplete:
 		rec.State = StateCompleted
 		rec.Finish = now
-		s.met.Completed++
 		s.th.completed.Inc()
 		_ = s.journalLocked(journal.Record{Job: rec.ID, State: StateCompleted})
 		s.notifyTerminalLocked(rec)
@@ -471,7 +479,6 @@ func (s *Server) onEvent(e metasched.Event) {
 		rec.State = StateRejected
 		rec.Reason = "no feasible allocation"
 		rec.Finish = now
-		s.met.Rejected++
 		s.th.rejected.Inc()
 		_ = s.journalLocked(journal.Record{Job: rec.ID, State: StateRejected, Reason: rec.Reason})
 		s.notifyTerminalLocked(rec)
@@ -490,7 +497,6 @@ func (s *Server) journalLocked(rec journal.Record) error {
 		return nil
 	}
 	if _, err := s.cfg.Journal.Append(rec); err != nil {
-		s.met.JournalErrors++
 		s.th.journalErrors.Inc()
 		return err
 	}
@@ -555,27 +561,16 @@ func (s *Server) submit(wire jobio.Job, strategyName string, priority int) (*Rec
 	if err != nil {
 		return nil, &SubmitError{Code: CodeInvalid, Reason: err.Error()}
 	}
-	if bound := minDeadline(job); simtime.Time(wire.Deadline) < bound {
-		rec := s.recordRejection(wire, typ, priority,
-			fmt.Sprintf("infeasible: deadline %d is below the fastest-tier critical path %d", wire.Deadline, bound))
-		if rec == nil {
-			return nil, &SubmitError{Code: CodeDuplicate, Reason: fmt.Sprintf("job %q was already submitted", wire.Name)}
-		}
-		s.mu.Lock()
-		s.met.Submitted++
-		s.met.Infeasible++
-		s.met.Rejected++
-		s.mu.Unlock()
-		s.th.submitted.Inc()
-		s.th.infeasible.Inc()
-		s.th.rejected.Inc()
-		return rec, &SubmitError{Code: CodeInfeasible, Reason: rec.Reason}
-	}
+	bound := minDeadline(job)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.met.Submitted++
+	// Every offer whose wire form parses counts once, whatever its fate.
 	s.th.submitted.Inc()
+	if simtime.Time(wire.Deadline) < bound {
+		return s.rejectInfeasibleLocked(wire, typ, priority,
+			fmt.Sprintf("infeasible: deadline %d is below the fastest-tier critical path %d", wire.Deadline, bound))
+	}
 	if s.draining {
 		return nil, &SubmitError{
 			Code:       CodeDraining,
@@ -589,7 +584,6 @@ func (s *Server) submit(wire jobio.Job, strategyName string, priority int) (*Rec
 	if len(s.queue) >= s.cfg.queueCap() {
 		victim := s.shedCandidateLocked(priority)
 		if victim < 0 {
-			s.met.Overloaded++
 			s.th.overloaded.Inc()
 			return nil, &SubmitError{
 				Code:       CodeOverloaded,
@@ -610,25 +604,18 @@ func (s *Server) submit(wire jobio.Job, strategyName string, priority int) (*Rec
 			Reason: fmt.Sprintf("journal append failed, job not accepted: %v", err)}
 	}
 	rec := s.newRecordLocked(wire.Name, typ, priority, StateQueued)
-	s.met.Accepted++
 	s.th.accepted.Inc()
 	s.queue = append(s.queue, &entry{rec: rec, job: job, wire: wire, typ: typ, enq: time.Now()})
-	s.th.queueDepth.Set(float64(len(s.queue)))
-	if d := len(s.queue); d > s.met.QueueHighWater {
-		s.met.QueueHighWater = d
-		s.th.queueHighWater.Set(float64(d))
-	}
+	s.queueChangedLocked()
 	s.cond.Signal()
 	return rec.clone(), nil
 }
 
-// recordRejection ledgers an admission-time rejection (infeasible). It
-// returns nil when the ID already exists.
-func (s *Server) recordRejection(wire jobio.Job, typ strategy.Type, priority int, reason string) *Record {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// rejectInfeasibleLocked ledgers an admission-time rejection (infeasible),
+// or refuses the offer as a duplicate when the ID already exists.
+func (s *Server) rejectInfeasibleLocked(wire jobio.Job, typ strategy.Type, priority int, reason string) (*Record, error) {
 	if _, ok := s.records[wire.Name]; ok {
-		return nil
+		return nil, &SubmitError{Code: CodeDuplicate, Reason: fmt.Sprintf("job %q was already submitted", wire.Name)}
 	}
 	// Ledger the rejection durably too: the duplicate-submit guard must
 	// give the same answer for this ID after a restart.
@@ -638,8 +625,20 @@ func (s *Server) recordRejection(wire jobio.Job, typ strategy.Type, priority int
 	})
 	rec := s.newRecordLocked(wire.Name, typ, priority, StateRejected)
 	rec.Reason = reason
+	s.th.infeasible.Inc()
+	s.th.rejected.Inc()
 	s.notifyTerminalLocked(rec)
-	return rec.clone()
+	return rec.clone(), &SubmitError{Code: CodeInfeasible, Reason: reason}
+}
+
+// queueChangedLocked publishes the admission-queue depth and raises the
+// high-water mark. Callers hold s.mu.
+func (s *Server) queueChangedLocked() {
+	d := float64(len(s.queue))
+	s.th.queueDepth.Set(d)
+	if d > s.th.queueHighWater.Value() {
+		s.th.queueHighWater.Set(d)
+	}
 }
 
 func (s *Server) newRecordLocked(id string, typ strategy.Type, priority int, state string) *Record {
@@ -677,11 +676,9 @@ func (s *Server) shedLocked(i int) {
 	e.rec.Reason = "shed: displaced by higher-priority work under overload"
 	_ = s.journalLocked(journal.Record{Job: e.rec.ID, State: StateRejected, Reason: e.rec.Reason})
 	s.notifyTerminalLocked(e.rec)
-	s.met.Shed++
-	s.met.Rejected++
 	s.th.shed.Inc()
 	s.th.rejected.Inc()
-	s.th.queueDepth.Set(float64(len(s.queue)))
+	s.queueChangedLocked()
 }
 
 // dequeueLocked pops the most important queued entry (highest priority,
@@ -700,7 +697,7 @@ func (s *Server) dequeueLocked() *entry {
 	}
 	e := s.queue[best]
 	s.queue = append(s.queue[:best], s.queue[best+1:]...)
-	s.th.queueDepth.Set(float64(len(s.queue)))
+	s.queueChangedLocked()
 	return e
 }
 
@@ -810,11 +807,10 @@ func (s *Server) process(e *entry) {
 		s.mu.Lock()
 		e.rec.State = StateRejected
 		e.rec.Reason = err.Error()
-		s.met.Rejected++
+		s.th.rejected.Inc()
 		_ = s.journalLocked(journal.Record{Job: e.rec.ID, State: StateRejected, Reason: e.rec.Reason})
 		s.notifyTerminalLocked(e.rec)
 		s.mu.Unlock()
-		s.th.rejected.Inc()
 		sp.SetStr("result", "rejected").End()
 		return
 	}
@@ -845,11 +841,10 @@ func (s *Server) processBatch(batch []*entry) {
 			s.mu.Lock()
 			e.rec.State = StateRejected
 			e.rec.Reason = err.Error()
-			s.met.Rejected++
+			s.th.rejected.Inc()
 			_ = s.journalLocked(journal.Record{Job: e.rec.ID, State: StateRejected, Reason: e.rec.Reason})
 			s.notifyTerminalLocked(e.rec)
 			s.mu.Unlock()
-			s.th.rejected.Inc()
 		}
 	}
 	s.engine.RunUntil(arrival + 1)
@@ -942,7 +937,7 @@ func (s *Server) RevokeEpoch(id, reason string, epoch int) (Record, error) {
 			return *e.rec, ErrInFlight
 		}
 		s.queue = append(s.queue[:i], s.queue[i+1:]...)
-		s.th.queueDepth.Set(float64(len(s.queue)))
+		s.queueChangedLocked()
 		s.revokeEntryLocked(e.rec, reason, epoch)
 		return *e.rec, nil
 	}
@@ -965,7 +960,6 @@ func (s *Server) RevokeEpoch(id, reason string, epoch int) (Record, error) {
 	rec.Reason = "revoked before arrival: " + reason
 	rec.Epoch = epoch
 	_ = s.journalLocked(journal.Record{Job: id, State: StateRevoked, Reason: rec.Reason, Epoch: epoch})
-	s.met.Revoked++
 	s.th.revoked.Inc()
 	s.notifyTerminalLocked(rec)
 	return *rec, nil
@@ -979,7 +973,6 @@ func (s *Server) revokeEntryLocked(rec *Record, reason string, epoch int) {
 		rec.Epoch = epoch
 	}
 	_ = s.journalLocked(journal.Record{Job: rec.ID, State: StateRevoked, Reason: reason, Epoch: rec.Epoch})
-	s.met.Revoked++
 	s.th.revoked.Inc()
 	s.notifyTerminalLocked(rec)
 }
@@ -1032,7 +1025,6 @@ func (s *Server) Resurrect(wire jobio.Job, strategyName string, priority, epoch 
 		rec.Strategy, rec.Priority, rec.Epoch = typ.String(), priority, epoch
 		_ = s.journalLocked(journal.Record{Job: wire.Name, State: StateRejected,
 			Reason: infeasible, Strategy: typ.String(), Priority: priority, Epoch: epoch})
-		s.met.Rejected++
 		s.th.rejected.Inc()
 		s.notifyTerminalLocked(rec)
 		return rec.clone(), &SubmitError{Code: CodeInfeasible, Reason: infeasible}
@@ -1052,13 +1044,9 @@ func (s *Server) Resurrect(wire jobio.Job, strategyName string, priority, epoch 
 	rec.State = StateQueued
 	rec.Reason = ""
 	rec.Strategy, rec.Priority, rec.Epoch = typ.String(), priority, epoch
-	s.met.Resurrected++
+	s.th.resurrected.Inc()
 	s.queue = append(s.queue, &entry{rec: rec, job: job, wire: wire, typ: typ, enq: time.Now()})
-	s.th.queueDepth.Set(float64(len(s.queue)))
-	if d := len(s.queue); d > s.met.QueueHighWater {
-		s.met.QueueHighWater = d
-		s.th.queueHighWater.Set(float64(d))
-	}
+	s.queueChangedLocked()
 	s.cond.Signal()
 	return rec.clone(), nil
 }
@@ -1094,11 +1082,7 @@ func (s *Server) ResumeHeld(ids []string) int {
 		moved++
 	}
 	if moved > 0 {
-		s.th.queueDepth.Set(float64(len(s.queue)))
-		if d := len(s.queue); d > s.met.QueueHighWater {
-			s.met.QueueHighWater = d
-			s.th.queueHighWater.Set(float64(d))
-		}
+		s.queueChangedLocked()
 		s.cond.Broadcast()
 	}
 	return moved
@@ -1208,13 +1192,12 @@ func (s *Server) snapshotQueued() error {
 		e.rec.Reason = "drained to snapshot on shutdown"
 		_ = s.journalLocked(journal.Record{Job: e.rec.ID, State: StateDrained, Reason: e.rec.Reason})
 		s.notifyTerminalLocked(e.rec)
-		s.met.Drained++
 		s.th.drained.Inc()
 	}
 	s.queue = nil
+	s.queueChangedLocked()
 	path := s.cfg.SnapshotPath
 	s.mu.Unlock()
-	s.th.queueDepth.Set(0)
 	if len(wires) == 0 || path == "" {
 		return nil
 	}
@@ -1264,7 +1247,6 @@ func (s *Server) Restore(rec *journal.Recovery) (RecoveryStats, error) {
 			r.Reason = reason
 			_ = s.journalLocked(journal.Record{Job: js.Job, State: StateRejected, Reason: reason})
 			s.notifyTerminalLocked(r)
-			s.met.Rejected++
 			s.th.rejected.Inc()
 			stats.Restored++
 			stats.Invalid++
@@ -1302,15 +1284,10 @@ func (s *Server) Restore(rec *journal.Recovery) (RecoveryStats, error) {
 			Job: js.Job, State: StateQueued,
 			Strategy: typ.String(), Priority: js.Priority, Wire: js.Wire, Epoch: js.Epoch,
 		})
-		s.met.Accepted++
 		s.th.accepted.Inc()
 		stats.Restored++
 	}
-	s.th.queueDepth.Set(float64(len(s.queue)))
-	if d := len(s.queue); d > s.met.QueueHighWater {
-		s.met.QueueHighWater = d
-		s.th.queueHighWater.Set(float64(d))
-	}
+	s.queueChangedLocked()
 	s.cond.Broadcast()
 	stats.ReplaySeconds = time.Since(start).Seconds()
 	s.recovery = &stats
@@ -1365,19 +1342,36 @@ func (s *Server) Jobs() []Record {
 	return out
 }
 
-// Metrics returns a counters snapshot. Breaker states are reported only
-// between engine-loop activity (they live on the engine goroutine); the
-// snapshot reflects the last completed processing step.
+// Metrics returns a counters snapshot. The counts are read from the
+// registry under s.mu, which every bump also holds, so they form one
+// consistent cut. Breaker states are reported only between engine-loop
+// activity (they live on the engine goroutine); the snapshot reflects the
+// last completed processing step.
 func (s *Server) Metrics() Metrics {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m := s.met
-	m.QueueDepth = len(s.queue)
-	m.Held = len(s.held)
-	m.EngineNow = s.engineNow
-	m.EventsFired = s.engineFired
-	m.Draining = s.draining
-	return m
+	th := &s.th
+	return Metrics{
+		Submitted:      th.submitted.Value(),
+		Accepted:       th.accepted.Value(),
+		Completed:      th.completed.Value(),
+		Rejected:       th.rejected.Value(),
+		Shed:           th.shed.Value(),
+		Infeasible:     th.infeasible.Value(),
+		Overloaded:     th.overloaded.Value(),
+		Drained:        th.drained.Value(),
+		Revoked:        th.revoked.Value(),
+		Resurrected:    th.resurrected.Value(),
+		Held:           len(s.held),
+		QueueDepth:     len(s.queue),
+		QueueHighWater: int(th.queueHighWater.Value()),
+		EngineNow:      s.engineNow,
+		EventsFired:    s.engineFired,
+		BreakerTrips:   s.breakerTrips,
+		Breakers:       s.breakerStates,
+		Draining:       s.draining,
+		JournalErrors:  th.journalErrors.Value(),
+	}
 }
 
 // BreakerStates returns every domain breaker's state. Engine goroutine (or
@@ -1392,8 +1386,8 @@ func (s *Server) BreakerStates() map[string]string {
 		trips += s.breakers.Get(name).Trips()
 	}
 	s.mu.Lock()
-	s.met.Breakers = out
-	s.met.BreakerTrips = trips
+	s.breakerStates = out
+	s.breakerTrips = trips
 	s.mu.Unlock()
 	return out
 }

@@ -129,6 +129,54 @@ func TestAdmissionControl(t *testing.T) {
 	}
 }
 
+// TestSubmittedCountsParsedOffers: every offer whose wire form parses
+// counts once in Submitted, whatever admission answers — a duplicate of an
+// infeasible job included — and an unparseable offer never counts.
+func TestSubmittedCountsParsedOffers(t *testing.T) {
+	type offer struct {
+		wire     jobio.Job
+		strategy string
+		code     string
+	}
+	badWire := wireJob("bad", 60)
+	badWire.Tasks[1].Name = "A" // duplicate task name
+	tests := []struct {
+		name      string
+		offers    []offer
+		submitted uint64
+	}{
+		{"feasible duplicate", []offer{
+			{wireJob("b", 60), "S1", ""},
+			{wireJob("b", 60), "S1", CodeDuplicate},
+		}, 2},
+		{"infeasible duplicate", []offer{
+			{wireJob("a", 1), "S1", CodeInfeasible},
+			{wireJob("a", 1), "S1", CodeDuplicate},
+		}, 2},
+		{"feasible resubmit of an infeasible job", []offer{
+			{wireJob("a", 1), "S1", CodeInfeasible},
+			{wireJob("a", 60), "S1", CodeDuplicate},
+		}, 2},
+		{"unparseable offers", []offer{
+			{badWire, "S1", CodeInvalid},
+			{wireJob("c", 60), "S9", CodeInvalid},
+		}, 0},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newServer(t, Config{})
+			for i, o := range tc.offers {
+				if _, err := s.Submit(o.wire, o.strategy, 0); submitCode(err) != o.code {
+					t.Fatalf("offer %d (%s): err = %v, want code %q", i, o.wire.Name, err, o.code)
+				}
+			}
+			if got := s.Metrics().Submitted; got != tc.submitted {
+				t.Errorf("Submitted = %d, want %d", got, tc.submitted)
+			}
+		})
+	}
+}
+
 // TestOverloadBoundAndShedding drives the queue past its bound without
 // processing anything: the depth must never exceed the cap, equal-or-lower
 // priority arrivals must bounce with a retry hint, and a higher-priority

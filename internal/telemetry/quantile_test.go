@@ -15,40 +15,59 @@ func TestHistogramQuantile(t *testing.T) {
 		return h
 	}
 	approx := func(a, b float64) bool { return a == b || math.Abs(a-b) < 1e-9 }
+	// raw feeds BucketQuantile directly, as a /metrics scrape does.
+	type raw struct {
+		bounds []float64
+		counts []uint64 // per bucket, +Inf last
+	}
 
 	tests := []struct {
 		name string
 		h    *Histogram
+		raw  *raw // when set, BucketQuantile(raw) is checked instead of h
 		q    float64
 		want float64 // NaN means "want NaN"
 	}{
-		{"nil histogram", nil, 0.5, math.NaN()},
-		{"empty histogram", mk([]float64{1, 2}), 0.5, math.NaN()},
-		{"q below range", mk([]float64{1}, 0.5), -0.1, math.NaN()},
-		{"q above range", mk([]float64{1}, 0.5), 1.1, math.NaN()},
-		{"q NaN", mk([]float64{1}, 0.5), math.NaN(), math.NaN()},
+		{"nil histogram", nil, nil, 0.5, math.NaN()},
+		{"empty histogram", mk([]float64{1, 2}), nil, 0.5, math.NaN()},
+		{"q below range", mk([]float64{1}, 0.5), nil, -0.1, math.NaN()},
+		{"q above range", mk([]float64{1}, 0.5), nil, 1.1, math.NaN()},
+		{"q NaN", mk([]float64{1}, 0.5), nil, math.NaN(), math.NaN()},
 
 		// Single bucket [0,10]: uniform interpolation across the bucket.
-		{"single bucket median", mk([]float64{10}, 1, 2, 3, 4), 0.5, 5},
-		{"single bucket q=1", mk([]float64{10}, 1, 2, 3, 4), 1, 10},
+		{"single bucket median", mk([]float64{10}, 1, 2, 3, 4), nil, 0.5, 5},
+		{"single bucket q=1", mk([]float64{10}, 1, 2, 3, 4), nil, 1, 10},
 		// q=0 lands at the lower edge of the first occupied bucket.
-		{"q=0 first bucket", mk([]float64{10, 20}, 15, 15), 0, 10},
+		{"q=0 first bucket", mk([]float64{10, 20}, 15, 15), nil, 0, 10},
 
 		// Two buckets, 2 obs each: median at the first bucket's upper edge.
-		{"two buckets median", mk([]float64{1, 2}, 0.5, 0.5, 1.5, 1.5), 0.5, 1},
-		{"two buckets p75", mk([]float64{1, 2}, 0.5, 0.5, 1.5, 1.5), 0.75, 1.5},
+		{"two buckets median", mk([]float64{1, 2}, 0.5, 0.5, 1.5, 1.5), nil, 0.5, 1},
+		{"two buckets p75", mk([]float64{1, 2}, 0.5, 0.5, 1.5, 1.5), nil, 0.75, 1.5},
 
 		// +Inf bucket: the estimate clamps to the highest finite bound.
-		{"inf bucket p99", mk([]float64{1, 2}, 0.5, 5, 7, 9), 0.99, 2},
-		{"all in inf bucket", mk([]float64{1, 2}, 5, 6, 7), 0.5, 2},
+		{"inf bucket p99", mk([]float64{1, 2}, 0.5, 5, 7, 9), nil, 0.99, 2},
+		{"all in inf bucket", mk([]float64{1, 2}, 5, 6, 7), nil, 0.5, 2},
 		// No finite buckets at all: +Inf is the only honest answer.
-		{"no finite buckets", mk([]float64{}, 5, 6), 0.5, math.Inf(1)},
+		{"no finite buckets", mk([]float64{}, 5, 6), nil, 0.5, math.Inf(1)},
 
 		// Negative-bound first bucket has no interpolation width.
-		{"negative first bound", mk([]float64{-1, 1}, -2, -3), 0.5, -1},
+		{"negative first bound", mk([]float64{-1, 1}, -2, -3), nil, 0.5, -1},
+
+		// Scraped buckets (le 0.01, 0.1, +Inf; cumulative 3, 9, 10): the
+		// median rank 5 interpolates (5-3)/6 into (0.01, 0.1], p99 clamps
+		// to the highest finite bound, and empty or all-zero buckets have
+		// no estimate.
+		{"scrape median", nil, &raw{[]float64{0.01, 0.1}, []uint64{3, 6, 1}}, 0.5, 0.01 + (0.1-0.01)*(2.0/6.0)},
+		{"scrape inf clamp p99", nil, &raw{[]float64{0.01, 0.1}, []uint64{3, 6, 1}}, 0.99, 0.1},
+		{"scrape empty", nil, &raw{}, 0.5, math.NaN()},
+		{"scrape all-zero buckets", nil, &raw{[]float64{0.01, 0.1}, []uint64{0, 0, 0}}, 0.5, math.NaN()},
+		{"scrape q above range", nil, &raw{[]float64{1}, []uint64{1, 0}}, 1.5, math.NaN()},
 	}
 	for _, tc := range tests {
 		got := tc.h.Quantile(tc.q)
+		if tc.raw != nil {
+			got = BucketQuantile(tc.raw.bounds, tc.raw.counts, tc.q)
+		}
 		if math.IsNaN(tc.want) {
 			if !math.IsNaN(got) {
 				t.Errorf("%s: Quantile(%v) = %v, want NaN", tc.name, tc.q, got)
